@@ -35,11 +35,11 @@ from .qsim import (
     BranchingProgram,
     DensityMatrix,
     GateOp,
-    PrgSource,
     QuantumProgram,
     apply_gate,
     bp_run,
     bp_run_avg,
+    bp_run_many,
     compile_measurements,
     dm_new,
     hadamard,

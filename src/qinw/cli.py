@@ -43,6 +43,12 @@ def _add_params_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--raw-M", type=int, help="tree depth override (desk-scale mode)")
 
 
+def _fail(message: str) -> None:
+    """Reject bad input: one line on stderr, exit code 2."""
+    print(f"qinw: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -111,6 +117,8 @@ def _cmd_sim_run(args) -> None:
         if args.uniform:
             rho = qsim.bp_run_avg(bp, qsim.dm_new(bp.s), "uniform")
         elif args.coins is not None:
+            if set(args.coins) - {"0", "1"}:
+                _fail(f"--coins takes only 0 and 1, got {args.coins!r}")
             if len(args.coins) != len(bp.steps):
                 raise SystemExit(f"program reads {len(bp.steps)} coins, got {len(args.coins)}")
             r = sum((1 << k) for k, c in enumerate(args.coins) if c == "1")

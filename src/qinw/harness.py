@@ -8,9 +8,10 @@ came from inw_params the configured fooling error is attached as the
 bound to check; raw desk-scale parameters report the distance without a
 claim.
 
-All averaging is exact: integer-weighted sums of states, one final
-division.  Sampled mode draws seeds from a counter-based SHA-256 stream
-so every report is reproducible bit for bit.
+All averaging is exact (qsim: per-step channel composition for uniform
+coins, integer-weighted sums and one division for generator coins).
+Sampled mode draws seeds from a counter-based SHA-256 stream so every
+report is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .inw import InwParams, inw_eval_recursive, inw_params_raw
 from .qsim import BranchingProgram, QuantumProgram, bp_run, bp_to_dict, dm_new, trace_norm
 
 SEED_STREAM_ID = "sha256-ctr-v1"
+MAX_ENUM_SEED_BITS = 24
 
 
 def sample_seeds(params: InwParams, n_seeds: int, rng_seed: int, n_bits: int | None = None) -> list[int]:
@@ -104,9 +106,9 @@ def _prg_average(params: InwParams, level: int, bp: BranchingProgram,
     mask = (1 << n) - 1
     bits = (level + 1) * params.N
     if seeds is None:
-        if bits > qsim.MAX_ENUM_SEED_BITS:
+        if bits > MAX_ENUM_SEED_BITS:
             raise ValueError(
-                f"exhaustive enumeration needs {bits} seed bits, budget {qsim.MAX_ENUM_SEED_BITS}")
+                f"exhaustive enumeration needs {bits} seed bits, budget {MAX_ENUM_SEED_BITS}")
         seeds = range(1 << bits)
     weights: dict[int, int] = {}
     n_seeds = 0
@@ -116,9 +118,8 @@ def _prg_average(params: InwParams, level: int, bp: BranchingProgram,
         n_seeds += 1
     acc = np.zeros_like(rho0.mat)
     acc_sq = np.zeros(rho0.mat.shape, dtype=np.float64)
-    for r in sorted(weights):
-        w = weights[r]
-        state = bp_run(bp, rho0, r).mat
+    for r, final in qsim.bp_run_many(bp, rho0, weights).items():
+        w, state = weights[r], final.mat
         acc += w * state
         acc_sq += w * (state.real**2 + state.imag**2)
     mean = acc / n_seeds
@@ -133,6 +134,10 @@ def fool_experiment(bp: BranchingProgram, params: InwParams, *,
                     program_id: str | None = None) -> FoolReport:
     """Compare uniform-coin and generator-coin averages of the program.
 
+    The uniform side composes the per-step channels (C0 + C1)/2, exact
+    on dyadic states; the generator side sums the distinct coin strings'
+    states (simulated with shared prefixes, each bit-identical to
+    bp_run) with integer weights in ascending order and divides once.
     Exhaustive mode (n_seeds None) enumerates every seed; sampled mode
     draws n_seeds from the deterministic stream and attaches the error
     estimate sigma_est = dim * max entrywise standard error (a crude

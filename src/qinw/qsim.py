@@ -17,9 +17,11 @@ Gate vocabulary (the `kind` strings double as the JSON wire names):
 A quantum program is a plain operator sequence (may contain M).  A
 branching program reads one classical coin per step and applies one of
 two measurement-free operator lists; coin k of the string is bit k of
-the coin int.  Averaging over coin distributions accumulates
-integer-weighted sums in ascending coin order and divides once, so
-results are exact and order-independent.
+the coin int.  Coin averages are exact: the uniform average composes
+the per-step channels (C0 + C1)/2 with exact halvings of dyadic states,
+and a weighted source sums its strings' states with integer weights in
+ascending string order and divides once.  Strings are simulated along
+their shared prefixes; every final state is bit-identical to bp_run's.
 """
 
 from __future__ import annotations
@@ -30,11 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import inw as _inw
-
 MAX_QUBITS = 12
-MAX_ENUM_COINS = 24
-MAX_ENUM_SEED_BITS = 24
 
 # The Hadamard is applied as the integer butterfly [[1,1],[1,-1]] on both
 # sides followed by one exact *0.5, so states reachable from basis states
@@ -240,15 +238,6 @@ class BranchingProgram:
                     raise ValueError(f"{op.kind} on {op.qubits} out of range for s={self.s}")
 
 
-@dataclass(frozen=True)
-class PrgSource:
-    """Coin source that expands generator seeds: all of them when
-    `seeds` is None (seed_bits <= 24 required), else the given list."""
-
-    params: _inw.InwParams
-    seeds: tuple[int, ...] | None = None
-
-
 def qp_run(qp: QuantumProgram, rho0: DensityMatrix) -> DensityMatrix:
     """Apply the operator sequence, measurements included."""
     rho = rho0
@@ -268,31 +257,36 @@ def bp_run(bp: BranchingProgram, rho0: DensityMatrix, r: int) -> DensityMatrix:
     return rho
 
 
-def _coin_weights(bp: BranchingProgram, source) -> dict[int, int]:
+def bp_run_many(bp: BranchingProgram, rho0: DensityMatrix, strings) -> dict[int, DensityMatrix]:
+    """bp_run(bp, rho0, r) for each distinct coin string r, keyed in
+    ascending order.  The strings' prefix trie (coin 0 at the root) is
+    walked depth first with an explicit stack, so a prefix shared by
+    several strings is simulated once; each final state comes from
+    bp_run's apply_gate sequence and is bit-identical to it."""
     n = len(bp.steps)
-    if isinstance(source, str):
-        if source != "uniform":
-            raise ValueError(f"unknown source {source!r}")
-        if n > MAX_ENUM_COINS:
-            raise ValueError(f"uniform enumeration supports at most {MAX_ENUM_COINS} coins")
-        return {r: 1 for r in range(1 << n)}
-    if isinstance(source, PrgSource):
-        params = source.params
-        if params.T < n:
-            raise ValueError(f"generator produces {params.T} coins but the program reads {n}")
-        if source.seeds is None:
-            if params.seed_bits > MAX_ENUM_SEED_BITS:
-                raise ValueError(
-                    f"exhaustive seed enumeration supports at most {MAX_ENUM_SEED_BITS} seed bits"
-                )
-            seeds = range(1 << params.seed_bits)
-        else:
-            seeds = source.seeds
-        mask = (1 << n) - 1
-        weights: Counter[int] = Counter()
-        for seed in seeds:
-            weights[_inw.inw_expand(params, seed) & mask] += 1
-        return dict(weights)
+    rs = sorted(set(strings))
+    for r in rs:
+        if not 0 <= r < 1 << n:
+            raise ValueError(f"coin string {r:#x} out of range for {n} steps")
+    finals: dict[int, DensityMatrix] = {}
+    # (steps done, state after them, the strings sharing those coins)
+    stack = [(0, rho0, rs)] if rs else []
+    while stack:
+        k, rho, group = stack.pop()
+        if k == n:
+            finals[group[0]] = rho
+            continue
+        for bit, ops in enumerate(bp.steps[k]):
+            sub = [r for r in group if (r >> k) & 1 == bit]
+            if sub:
+                child = rho
+                for op in ops:
+                    child = apply_gate(child, op)
+                stack.append((k + 1, child, sub))
+    return {r: finals[r] for r in rs}
+
+
+def _coin_weights(source) -> dict[int, int]:
     if isinstance(source, Mapping):
         return {int(r): int(w) for r, w in source.items()}
     if isinstance(source, Sequence):
@@ -303,19 +297,32 @@ def _coin_weights(bp: BranchingProgram, source) -> dict[int, int]:
 def bp_run_avg(bp: BranchingProgram, rho0: DensityMatrix, source) -> DensityMatrix:
     """Exact convex average of bp_run over a coin source.
 
-    Source may be "uniform", an explicit string list (with multiplicity),
-    a {string: weight} mapping, or a PrgSource.  The weighted sum is
-    accumulated in ascending string order and normalized once.
+    Source may be "uniform", an explicit string list (with multiplicity)
+    or a {string: weight} mapping.  "uniform" composes the per-step
+    channels (C0 + C1)/2 with one exact *0.5 each: 2n branch evaluations,
+    not 2^n runs.  Other sources sum bp_run_many's states with integer
+    weights in ascending string order and normalize once.
     """
-    weights = _coin_weights(bp, source)
+    if isinstance(source, str):
+        if source != "uniform":
+            raise ValueError(f"unknown source {source!r}")
+        rho = rho0
+        for c0, c1 in bp.steps:
+            a = b = rho
+            for op in c0:
+                a = apply_gate(a, op)
+            for op in c1:
+                b = apply_gate(b, op)
+            rho = _wrap(bp.s, (a.mat + b.mat) * 0.5)
+        return rho
+    weights = _coin_weights(source)
     if not weights:
         raise ValueError("empty coin source")
     acc = np.zeros_like(rho0.mat)
     total = 0
-    for r in sorted(weights):
-        w = weights[r]
-        acc += w * bp_run(bp, rho0, r).mat
-        total += w
+    for r, rho in bp_run_many(bp, rho0, weights).items():
+        acc += weights[r] * rho.mat
+        total += weights[r]
     return _wrap(bp.s, acc / total)
 
 

@@ -95,6 +95,19 @@ def test_sim_run_branching_program(tmp_path, capsys):
     assert lines[0] == "row,col,re,im" and len(lines) == 5
 
 
+def test_sim_run_rejects_non_binary_coins(tmp_path, capsys):
+    flip = qsim.bitflip_ops(1)
+    bp = qsim.BranchingProgram(1, (((), flip),) * 3)
+    path = tmp_path / "bp.json"
+    path.write_text(json.dumps(qsim.bp_to_dict(bp)))
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "run", "--program", str(path), "--coins", "1x0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--coins" in captured.err
+
+
 def test_fool_run_exhaustive(tmp_path, capsys):
     bp = qinw.random_branching_program(2, 4, rng_seed=3)
     path = tmp_path / "bp.json"

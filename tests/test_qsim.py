@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinw import qsim
-from qinw.harness import random_branching_program, random_quantum_program
+from qinw.harness import parity_program, random_branching_program, random_quantum_program
 from qinw.qsim import (
     BranchingProgram,
     GateOp,
@@ -13,6 +15,7 @@ from qinw.qsim import (
     bp_from_dict,
     bp_run,
     bp_run_avg,
+    bp_run_many,
     bp_to_dict,
     compile_measurements,
     dm_new,
@@ -257,6 +260,69 @@ def test_bp_run_avg_sources():
         bp_run_avg(bp, dm_new(1), [])
     with pytest.raises(ValueError):
         bp_run_avg(bp, dm_new(1), "nonsense")
+    with pytest.raises(ValueError):
+        bp_run_avg(bp, dm_new(1), {0: 1, 2: 1})
+
+
+@st.composite
+def small_programs(draw):
+    """Random branching programs with s <= 3 qubits and n <= 8 coins."""
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 8))
+    return random_branching_program(s, n, rng_seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bp=small_programs())
+def test_uniform_average_equals_enumeration(bp):
+    """The per-step channel composition equals the literal 2^n-run
+    average, summed in ascending order and divided once, bit for bit."""
+    rho0 = dm_new(bp.s)
+    n = len(bp.steps)
+    acc = np.zeros_like(rho0.mat)
+    for r in range(1 << n):
+        acc += bp_run(bp, rho0, r).mat
+    assert np.array_equal(bp_run_avg(bp, rho0, "uniform").mat, acc / (1 << n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_weighted_average_shares_prefixes_exactly(data):
+    bp = data.draw(small_programs())
+    n = len(bp.steps)
+    weights = data.draw(st.dictionaries(st.integers(0, (1 << n) - 1), st.integers(1, 50),
+                                        min_size=1))
+    rho0 = dm_new(bp.s)
+    states = bp_run_many(bp, rho0, weights)
+    assert list(states) == sorted(weights)
+    for r, rho in states.items():
+        assert np.array_equal(rho.mat, bp_run(bp, rho0, r).mat)
+    acc = np.zeros_like(rho0.mat)
+    for r in sorted(weights):
+        acc += weights[r] * bp_run(bp, rho0, r).mat
+    assert np.array_equal(bp_run_avg(bp, rho0, weights).mat, acc / sum(weights.values()))
+
+
+def test_bp_run_many_simulates_a_shared_prefix_once(monkeypatch):
+    h = (hadamard(1),)
+    bp = BranchingProgram(1, ((h, h), (h, h), (h, h)))
+    calls = []
+    real = qsim.apply_gate
+
+    def counting(rho, op):
+        calls.append(op)
+        return real(rho, op)
+
+    monkeypatch.setattr(qsim, "apply_gate", counting)
+    bp_run_many(bp, dm_new(1), [0b000, 0b100, 0b100])
+    # the first two steps are shared; only the last step branches
+    assert len(calls) == 4
+
+
+def test_uniform_average_is_linear_in_coins():
+    """2^20 coin strings, averaged in 20 steps."""
+    avg = bp_run_avg(parity_program(20), dm_new(1), "uniform")
+    assert np.array_equal(avg.mat, np.eye(2) / 2)
 
 
 def test_compile_semantic_no_measurements_gives_identical_branches():
