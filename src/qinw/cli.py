@@ -49,6 +49,20 @@ def _fail(message: str) -> None:
     raise SystemExit(2)
 
 
+def _read_program(path: str, branching: bool = False):
+    """A program file: operator sequence ("ops") or branching program
+    ("steps"); anything else is rejected through _fail."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if "ops" in doc and not branching:
+            return qsim.program_from_dict(doc)
+        return qsim.bp_from_dict(doc)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        _fail(f"{path}: not a {'branching ' * branching}program file "
+              f"({type(exc).__name__}: {exc})")
+
+
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -57,13 +71,18 @@ def _emit(obj) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_gf(args) -> None:
-    f = gf2m.field_new(args.i)
-    a = f.el(int(args.a, 16))
-    if args.op == "pow":
-        out = gf2m.gf_pow(a, args.k)
-    else:
-        b = f.el(int(args.b, 16))
-        out = gf2m.gf_add(a, b) if args.op == "add" else gf2m.gf_mul(a, b)
+    if args.op != "pow" and args.b is None:
+        _fail(f"gf {args.op} needs --b")
+    try:
+        f = gf2m.field_new(args.i)
+        a = f.el(int(args.a, 16))
+        if args.op == "pow":
+            out = gf2m.gf_pow(a, args.k)
+        else:
+            b = f.el(int(args.b, 16))
+            out = gf2m.gf_add(a, b) if args.op == "add" else gf2m.gf_mul(a, b)
+    except ValueError as exc:
+        _fail(str(exc))
     print(_hex(out.value, f.m))
 
 
@@ -107,13 +126,11 @@ def _cmd_prg(args) -> None:
 
 
 def _cmd_sim_run(args) -> None:
-    with open(args.program) as fh:
-        doc = json.load(fh)
-    if "ops" in doc:
-        qp = qsim.program_from_dict(doc)
-        rho = qsim.qp_run(qp, qsim.dm_new(qp.s))
+    prog = _read_program(args.program)
+    if isinstance(prog, qsim.QuantumProgram):
+        rho = qsim.qp_run(prog, qsim.dm_new(prog.s))
     else:
-        bp = qsim.bp_from_dict(doc)
+        bp = prog
         if args.uniform:
             rho = qsim.bp_run_avg(bp, qsim.dm_new(bp.s), "uniform")
         elif args.coins is not None:
@@ -131,21 +148,20 @@ def _cmd_sim_run(args) -> None:
             fh.write("row,col,re,im\n")
             for i in range(rho.mat.shape[0]):
                 for j in range(rho.mat.shape[1]):
-                    fh.write(f"{i},{j},{rho.mat[i, j].real!r},{rho.mat[i, j].imag!r}\n")
+                    v = rho.mat[i, j]
+                    fh.write(f"{i},{j},{float(v.real)!r},{float(v.imag)!r}\n")
     _emit({"p0": p0, "p1": p1})
 
 
 def _cmd_fool_run(args) -> None:
-    with open(args.program) as fh:
-        bp = qsim.bp_from_dict(json.load(fh))
+    bp = _read_program(args.program, branching=True)
     params = _params_from_args(args)
     report = harness.fool_experiment(bp, params, n_seeds=args.sample, rng_seed=args.rng_seed)
     _emit(report.to_dict())
 
 
 def _cmd_fool_level(args) -> None:
-    with open(args.program) as fh:
-        bp = qsim.bp_from_dict(json.load(fh))
+    bp = _read_program(args.program, branching=True)
     params = _params_from_args(args)
     d1, bound = harness.level_experiment(bp, params, args.i,
                                          n_seeds=args.sample, rng_seed=args.rng_seed)

@@ -100,8 +100,9 @@ def _params_summary(params: InwParams) -> dict:
 
 def _prg_average(params: InwParams, level: int, bp: BranchingProgram,
                  rho0: qsim.DensityMatrix, seeds: Iterable[int] | None):
-    """Average state over generator outputs at the given level, plus the
-    per-entry variance data needed for the sampled-mode error estimate."""
+    """Average state over generator outputs at the given level, the seed
+    count, the per-entry standard error for the sampled-mode estimate and
+    the number of distinct coin strings simulated."""
     n = len(bp.steps)
     mask = (1 << n) - 1
     bits = (level + 1) * params.N
@@ -126,7 +127,7 @@ def _prg_average(params: InwParams, level: int, bp: BranchingProgram,
     var = acc_sq / n_seeds - (mean.real**2 + mean.imag**2)
     np.clip(var, 0.0, None, out=var)
     sigma_entry = float(np.max(np.sqrt(var / n_seeds)))
-    return qsim.DensityMatrix(bp.s, mean), n_seeds, sigma_entry
+    return qsim.DensityMatrix(bp.s, mean), n_seeds, sigma_entry, len(weights)
 
 
 def fool_experiment(bp: BranchingProgram, params: InwParams, *,
@@ -141,7 +142,9 @@ def fool_experiment(bp: BranchingProgram, params: InwParams, *,
     Exhaustive mode (n_seeds None) enumerates every seed; sampled mode
     draws n_seeds from the deterministic stream and attaches the error
     estimate sigma_est = dim * max entrywise standard error (a crude
-    trace-norm perturbation bound)."""
+    trace-norm perturbation bound).  strings_enumerated counts the
+    distinct coin strings the generator side simulated; the uniform side
+    enumerates none."""
     n = len(bp.steps)
     if n > params.T:
         raise ValueError(f"program reads {n} coins but the generator outputs {params.T}")
@@ -149,12 +152,12 @@ def fool_experiment(bp: BranchingProgram, params: InwParams, *,
     rho0 = dm_new(bp.s)
     rho_true = qsim.bp_run_avg(bp, rho0, "uniform")
     if n_seeds is None:
-        rho_prg, used, _ = _prg_average(params, params.M, bp, rho0, None)
+        rho_prg, used, _, distinct = _prg_average(params, params.M, bp, rho0, None)
         mode = {"kind": "exhaustive"}
         sigma_est = None
     else:
         seeds = sample_seeds(params, n_seeds, rng_seed)
-        rho_prg, used, sigma_entry = _prg_average(params, params.M, bp, rho0, seeds)
+        rho_prg, used, sigma_entry, distinct = _prg_average(params, params.M, bp, rho0, seeds)
         mode = {"kind": "sampled", "n_seeds": n_seeds, "rng_seed": rng_seed,
                 "stream": SEED_STREAM_ID}
         sigma_est = (1 << bp.s) * sigma_entry
@@ -170,7 +173,7 @@ def fool_experiment(bp: BranchingProgram, params: InwParams, *,
         sigma_est=sigma_est,
         per_level=None,
         runtime_seconds=time.perf_counter() - t0,
-        strings_enumerated=1 << n,
+        strings_enumerated=distinct,
         seeds_used=used,
     )
 
@@ -191,7 +194,7 @@ def level_experiment(bp: BranchingProgram, params: InwParams, i: int, *,
         seeds = None
     else:
         seeds = sample_seeds(params, n_seeds, rng_seed, n_bits=(i + 1) * params.N)
-    rho_prg, _, _ = _prg_average(params, i, bp, rho0, seeds)
+    rho_prg = _prg_average(params, i, bp, rho0, seeds)[0]
     tn = trace_norm(rho_true.mat - rho_prg.mat)
     bound = (3**i) * params.eps / params.T**2 if params.eps is not None else None
     return tn, bound

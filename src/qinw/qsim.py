@@ -1,6 +1,8 @@
 """Dense density-matrix simulation of coin-fed quantum branching programs.
 
-States are exact 2^s x 2^s complex matrices.  Qubit 1 is the most
+States are exact 2^s x 2^s real float64 matrices: every gate is real,
+so dm_new and everything built from it stay real, and complex inputs
+(random_density) are accepted and stay complex.  Qubit 1 is the most
 significant bit of the basis-state index; "first qubit" conventions
 (output, measurement, reset) all refer to qubit 1, and every channel is
 generalized to an arbitrary qubit q.
@@ -28,22 +30,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 MAX_QUBITS = 12
 
-# The Hadamard is applied as the integer butterfly [[1,1],[1,-1]] on both
-# sides followed by one exact *0.5, so states reachable from basis states
-# keep exactly representable dyadic entries (1/sqrt(2) never appears).
-_H2_RAW = np.array([[1, 1], [1, -1]], dtype=np.complex128)
-_RFL2 = np.array([[-1, 0], [0, 1]], dtype=np.complex128)
-_TOF8 = np.eye(8, dtype=np.complex128)
-_TOF8[[6, 7]] = _TOF8[[7, 6]]
-
 _ARITY = {"H": 1, "TOF": 3, "RFL": 1, "M": 1, "R": 1}
-_UNITARY = {"TOF": _TOF8, "RFL": _RFL2}
 
 
 @dataclass(frozen=True)
@@ -90,7 +84,8 @@ def bitflip_ops(q: int) -> tuple[GateOp, ...]:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Immutable state: 2^s x 2^s complex matrix, Hermitian, PSD, trace 1."""
+    """Immutable state: 2^s x 2^s matrix, Hermitian, PSD, trace 1; real
+    float64 unless built from a complex matrix."""
 
     s: int
     mat: np.ndarray
@@ -113,52 +108,62 @@ class DensityMatrix:
 
 
 def _wrap(s: int, mat: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(s, np.ascontiguousarray(mat, dtype=np.complex128))
+    return DensityMatrix(s, np.ascontiguousarray(mat))
 
 
 def dm_new(s: int) -> DensityMatrix:
     """The all-zeros pure state |0^s><0^s|."""
     if not 1 <= s <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
-    mat = np.zeros((1 << s, 1 << s), dtype=np.complex128)
+    mat = np.zeros((1 << s, 1 << s))
     mat[0, 0] = 1.0
     return DensityMatrix(s, mat)
 
 
-def _apply_unitary(mat: np.ndarray, u: np.ndarray, qubits: tuple[int, ...], s: int) -> np.ndarray:
-    """Conjugate by a k-qubit unitary embedded on the named qubits."""
-    k = len(qubits)
-    ut = u.reshape((2,) * (2 * k))
-    t = mat.reshape((2,) * (2 * s))
-    row_axes = [q - 1 for q in qubits]
-    t = np.tensordot(ut, t, axes=(list(range(k, 2 * k)), row_axes))
-    t = np.moveaxis(t, list(range(k)), row_axes)
-    col_axes = [s + q - 1 for q in qubits]
-    t = np.tensordot(np.conj(ut), t, axes=(list(range(k, 2 * k)), col_axes))
-    t = np.moveaxis(t, list(range(k)), col_axes)
-    return t.reshape(1 << s, 1 << s)
+@lru_cache(maxsize=1024)
+def _kernel(s: int, op: GateOp):
+    """The gate as an exact, dtype-generic function of a 2^s x 2^s state
+    matrix.  Only O(2^s) index data is built here, once per (s, op).  The
+    Hadamard is the integer butterfly [[1,1],[1,-1]] on rows, then on
+    columns, then one exact *0.5, so states reachable from basis states
+    keep exactly representable dyadic entries (1/sqrt(2) never appears)."""
+    if any(q > s for q in op.qubits):
+        raise ValueError(f"{op.kind} on qubit(s) {op.qubits} out of range for s={s}")
+    idx = np.arange(1 << s)
+    if op.kind == "TOF":
+        c1, c2, t = (s - q for q in op.qubits)
+        perm = idx ^ (((idx >> c1) & (idx >> c2) & 1) << t)
+        return lambda m: m.take(perm, 0).take(perm, 1)
+    shift = s - op.qubits[0]
+    bit = (idx >> shift) & 1
+    if op.kind == "M":
+        return lambda m: np.where(bit[:, None] == bit, m, 0.0)
+    sign = 1.0 - 2.0 * bit
+    col = sign[:, None]
+    if op.kind == "RFL":
+        # diag(-1, 1) on both sides scales entry (i, j) by sign_i * sign_j
+        return lambda m: m * col * sign
+    if op.kind == "H":
+        i0, i1 = idx & ~(1 << shift), idx | (1 << shift)
+
+        def butterfly(m):
+            m = m.take(i0, 0) + col * m.take(i1, 0)
+            return (m.take(i0, 1) + m.take(i1, 1) * sign) * 0.5
+        return butterfly
+    # R: keep the diagonal blocks and fold the |1> block onto |0>
+    zero = np.flatnonzero(bit == 0)
+    one = zero + (1 << shift)
+    block = np.ix_(zero, zero)
+
+    def reset_fold(m):
+        out = np.zeros_like(m)
+        out[block] = m.take(zero, 0).take(zero, 1) + m.take(one, 0).take(one, 1)
+        return out
+    return reset_fold
 
 
 def apply_gate(rho: DensityMatrix, op: GateOp) -> DensityMatrix:
-    s = rho.s
-    if any(q > s for q in op.qubits):
-        raise ValueError(f"{op.kind} on qubit(s) {op.qubits} out of range for s={s}")
-    if op.kind == "H":
-        return _wrap(s, _apply_unitary(rho.mat, _H2_RAW, op.qubits, s) * 0.5)
-    if op.kind in _UNITARY:
-        return _wrap(s, _apply_unitary(rho.mat, _UNITARY[op.kind], op.qubits, s))
-    q = op.qubits[0]
-    bit = (np.arange(1 << s) >> (s - q)) & 1
-    if op.kind == "M":
-        out = rho.mat.copy()
-        out[bit[:, None] != bit[None, :]] = 0.0
-        return _wrap(s, out)
-    # R: keep the diagonal blocks and fold the |1> block onto |0>
-    i0 = np.where(bit == 0)[0]
-    i1 = i0 + (1 << (s - q))
-    out = np.zeros_like(rho.mat)
-    out[np.ix_(i0, i0)] = rho.mat[np.ix_(i0, i0)] + rho.mat[np.ix_(i1, i1)]
-    return _wrap(s, out)
+    return _wrap(rho.s, _kernel(rho.s, op)(rho.mat))
 
 
 def trace_norm(mat: np.ndarray) -> float:

@@ -93,6 +93,10 @@ def test_sim_run_branching_program(tmp_path, capsys):
     run_cli(capsys, "sim", "run", "--program", str(path), "--uniform", "--dump", str(dump))
     lines = dump.read_text().strip().splitlines()
     assert lines[0] == "row,col,re,im" and len(lines) == 5
+    state = qsim.bp_run_avg(bp, qsim.dm_new(1), "uniform").mat
+    for line in lines[1:]:
+        i, j, re, im = line.split(",")
+        assert float(re) == state[int(i), int(j)] and float(im) == 0.0
 
 
 def test_sim_run_rejects_non_binary_coins(tmp_path, capsys):
@@ -106,6 +110,32 @@ def test_sim_run_rejects_non_binary_coins(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "--coins" in captured.err
+
+
+def assert_clean_failure(capsys, *argv):
+    """Bad input exits with code 2 and one stderr line, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("qinw: error: ")
+    return captured.err
+
+
+def test_gf_bad_input_is_a_clean_error(capsys):
+    assert "--b" in assert_clean_failure(capsys, "gf", "mul", "--i", "1", "--a", "3")
+    assert_clean_failure(capsys, "gf", "add", "--i", "1", "--a", "-3", "--b", "1")
+
+
+def test_program_without_steps_or_ops_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"qubits": 1}))
+    params = ("--S", "2", "--raw-N", "4", "--raw-M", "2")
+    for argv in (("sim", "run", "--program", str(path), "--uniform"),
+                 ("fool", "run", "--program", str(path)) + params,
+                 ("fool", "level", "--program", str(path), "--i", "0") + params):
+        assert "steps" in assert_clean_failure(capsys, *argv)
 
 
 def test_fool_run_exhaustive(tmp_path, capsys):

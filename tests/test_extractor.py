@@ -72,6 +72,14 @@ def test_params_invariants():
         ExtParams(n=8, d=4, field=F4, t=9, eps=None)
 
 
+def test_one_bit_extractor():
+    p = params(1, F4)
+    assert p.n == 1
+    for bits in range(16):
+        seed = ext_seed_unpack(p, bits)
+        assert {ext_apply(p, x, seed) for x in (0, 1)} == {0, 1}
+
+
 def test_every_seed_is_a_bijection():
     p = params(8, F4)
     for bits in range(16):

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import pathlib
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -46,6 +48,17 @@ def test_sample_seeds_wide():
     assert max(seeds).bit_length() > 64  # actually spans the wide seed space
 
 
+def test_sample_seeds_beyond_one_digest():
+    """A 540-bit seed spans three SHA-256 digests, concatenated little-endian."""
+    p = inw_params(S=4, T=16, eps=0.1)
+    assert p.seed_bits == 540
+    for k, seed in enumerate(sample_seeds(p, 3, rng_seed=11)):
+        digests = b"".join(
+            hashlib.sha256(b"qinw-seed" + struct.pack("<QQQ", 11, k, blk)).digest()
+            for blk in range(3))
+        assert seed == int.from_bytes(digests, "little") % (1 << 540)
+
+
 def test_fool_coin_insensitive_is_exactly_zero():
     ops = (qinw.hadamard(1), qinw.reset(2))
     bp = qsim.BranchingProgram(2, tuple((ops, ops) for _ in range(8)))
@@ -77,6 +90,19 @@ def test_fool_exhaustive_is_order_independent():
     rho_prg = qsim.bp_run_avg(bp, qinw.dm_new(2), weights)
     d1 = qinw.trace_distance(rho_true, rho_prg)
     assert d1 == report.d1
+
+
+def test_strings_enumerated_counts_distinct_generator_strings():
+    """C09 shape: the report counts the coin strings the generator side
+    simulated, not the 2^n strings the uniform side never enumerates."""
+    bp = random_branching_program(2, 8, rng_seed=4)
+    mask = (1 << 8) - 1
+    distinct = {qinw.inw_expand(RAW, seed) & mask for seed in range(1 << 16)}
+    report = fool_experiment(bp, RAW)
+    assert report.strings_enumerated == len(distinct) < 1 << 8
+    sampled = fool_experiment(bp, RAW, n_seeds=50, rng_seed=3)
+    assert sampled.strings_enumerated == len(
+        {qinw.inw_expand(RAW, seed) & mask for seed in sample_seeds(RAW, 50, rng_seed=3)})
 
 
 def test_fool_sampled_reproducible_bit_for_bit():
@@ -170,6 +196,7 @@ def test_classical_programs_stay_diagonal():
 
 
 def test_classical_width_capacity():
+    assert random_classical_program(1 << 12, 4, rng_seed=0).s == 12
     with pytest.raises(ValueError):
         random_classical_program(1 << 13, 4, rng_seed=0)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -92,6 +93,12 @@ def test_params_capacity_error():
 def test_params_warns_below_regime():
     with pytest.warns(RuntimeWarning):
         inw_params(S=1, T=16, eps=8.0)
+
+
+def test_params_no_warning_at_log2_t():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inw_params(S=4, T=16, eps=0.5)
 
 
 def test_params_raw():
@@ -270,6 +277,13 @@ def test_cost_model_m0_equals_single_coordinate():
     cm = cost_model(p)
     assert cm.total_ops == cm.coord_ops == 1.0
     assert cm.seed_bits == 4
+
+
+def test_cost_model_coord_ops_formula():
+    """One coordinate costs 1 + sum_i N^2 * i * log2(N)^2 over heights 1..M."""
+    cm = cost_model(RAW)
+    assert cm.coord_ops == 1.0 + 16 * 4 * (1 + 2 + 3) == 385.0
+    assert cm.coord_ops == 1.0 + sum(row["per_visit_ops"] for row in cm.step_costs)
 
 
 def test_cost_model_seed_bits_and_doubling():

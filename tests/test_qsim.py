@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -41,9 +42,11 @@ def plus_state():
 
 # --- full-matrix oracle for unitary conjugation ---
 
-def full_unitary(kind, qubits, s):
+def full_unitary(kind, qubits, s, raw=False):
+    """The gate's 2^s x 2^s matrix; raw=True leaves the Hadamard as the
+    integer butterfly [[1,1],[1,-1]] (no 1/sqrt(2))."""
     if kind == "H":
-        u2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+        u2 = np.array([[1, 1], [1, -1]], dtype=complex) / (1 if raw else math.sqrt(2))
         out = np.array([[1]], dtype=complex)
         for q in range(1, s + 1):
             out = np.kron(out, u2 if q == qubits[0] else np.eye(2))
@@ -89,10 +92,17 @@ def test_reset_example():
     assert np.allclose(apply_gate(mixed, reset(1)).mat, [[1, 0], [0, 0]])
 
 
+def all_ops(s):
+    """Every operator on every qubit position (ordered triples for TOF)."""
+    ops = [GateOp(kind, (q,)) for kind in ("H", "RFL", "M", "R") for q in range(1, s + 1)]
+    ops += [toffoli(*t) for t in itertools.permutations(range(1, s + 1), 3)]
+    return ops
+
+
 def test_unitaries_match_full_matrix_oracle():
     rng = np.random.default_rng(0)
-    cases = [("H", (2,), 3), ("H", (1,), 2), ("RFL", (3,), 3), ("TOF", (1, 3, 2), 3),
-             ("TOF", (3, 1, 4), 4)]
+    cases = [(op.kind, op.qubits, s) for s in (1, 2, 3, 4) for op in all_ops(s)
+             if op.kind in ("H", "RFL", "TOF")]
     for kind, qubits, s in cases:
         rho = random_density(s, rng)
         u = full_unitary(kind, qubits, s)
@@ -103,7 +113,7 @@ def test_unitaries_match_full_matrix_oracle():
 
 def test_measure_matches_block_formula():
     rng = np.random.default_rng(1)
-    for s in (1, 2, 3):
+    for s in (1, 2, 3, 4):
         rho = random_density(s, rng)
         for q in range(1, s + 1):
             got = apply_gate(rho, measure(q)).mat
@@ -117,7 +127,7 @@ def test_measure_matches_block_formula():
 
 def test_reset_matches_block_formula():
     rng = np.random.default_rng(2)
-    for s in (1, 2, 3):
+    for s in (1, 2, 3, 4):
         rho = random_density(s, rng)
         for q in range(1, s + 1):
             got = apply_gate(rho, reset(q)).mat
@@ -129,6 +139,51 @@ def test_reset_matches_block_formula():
                     if not (i & bit) and not (j & bit):
                         expected[i, j] = rho.mat[i, j] + rho.mat[i | bit, j | bit]
             assert np.max(np.abs(got - expected)) < 1e-15
+
+
+def block_oracle(op, s, mat):
+    """M and R from their block formulas, entry by entry."""
+    bit = 1 << (s - op.qubits[0])
+    out = np.zeros_like(mat)
+    for i in range(1 << s):
+        for j in range(1 << s):
+            if op.kind == "M" and bool(i & bit) == bool(j & bit):
+                out[i, j] = mat[i, j]
+            if op.kind == "R" and not (i & bit) and not (j & bit):
+                out[i, j] = mat[i, j] + mat[i | bit, j | bit]
+    return out
+
+
+def test_kernels_exact_on_real_dyadic_states():
+    """Every kernel on every qubit position equals its integer oracle bit
+    for bit: U rho U^T with integer U (and one *0.5 for H), or the block
+    formula for M and R.  States stay real float64."""
+    for s in (1, 2, 3, 4):
+        plus = dm_new(s)
+        assert plus.mat.dtype == np.float64
+        for q in range(1, s + 1):
+            plus = apply_gate(plus, hadamard(q))
+        # an exact 1/16 mixture of 16 random programs' outputs
+        runs = [qp_run(random_quantum_program(s, 12, 1, rng_seed=k), plus).mat for k in range(16)]
+        rho = qsim.DensityMatrix(s, sum(runs) * 0.0625)
+        assert rho.mat.dtype == np.float64 and np.count_nonzero(rho.mat) > 1 << s
+        for op in all_ops(s):
+            got = apply_gate(rho, op).mat
+            if op.kind in ("M", "R"):
+                want = block_oracle(op, s, rho.mat)
+            else:
+                u = full_unitary(op.kind, op.qubits, s, raw=True).real
+                want = u @ rho.mat @ u.T * (0.5 if op.kind == "H" else 1.0)
+            assert got.dtype == np.float64 and np.array_equal(got, want), (s, op)
+
+
+def test_complex_input_stays_complex():
+    rng = np.random.default_rng(9)
+    for s in (1, 3):
+        rho = random_density(s, rng)
+        assert rho.mat.dtype == np.complex128
+        for op in all_ops(s):
+            assert apply_gate(rho, op).mat.dtype == np.complex128, op
 
 
 def test_gate_validation():
